@@ -60,11 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--level", default="full",
                         choices=["commit", "full"],
                         help="check level for the sweep (default full)")
-    parser.add_argument("--backend", default="reference",
+    parser.add_argument("--backend", default=MachineParams().backend,
                         choices=["reference", "vector"],
-                        help="simulation backend to check (default "
-                             "reference); vector runs the fast path in "
-                             "lockstep with the golden interpreter")
+                        help="simulation backend to check, in lockstep "
+                             "with the golden interpreter (default "
+                             "%(default)s)")
     parser.add_argument("--budget", type=int, default=None,
                         help="per-run retired-instruction budget "
                              f"(default {FULL_BUDGET}, "

@@ -77,10 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="workload scale factor")
     parser.add_argument("--untaint-broadcast-width", type=int, default=3)
     parser.add_argument("--backend", choices=["reference", "vector"],
-                        default="reference",
-                        help="simulation backend: the reference model or "
-                             "the vectorised fast path (bit-identical; "
-                             "requires numpy)")
+                        default=MachineParams().backend,
+                        help="simulation backend: the vectorised fast path "
+                             "or the reference model (bit-identical; "
+                             "default %(default)s)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the persistent result cache "
                              "(also: REPRO_NO_CACHE=1)")

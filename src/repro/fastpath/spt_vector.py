@@ -34,7 +34,6 @@ from repro.core.attack_model import AttackModel
 from repro.core.events import UntaintKind
 from repro.core.shadow_l1 import ShadowMode
 from repro.core.spt import SPTEngine
-from repro.fastpath.deps import require_numpy
 from repro.fastpath.tables import (F_BRANCH, F_INV_ALU, F_INV_MONO, F_JUMP_REG,
                                    F_LOAD, F_PC_INFERABLE, F_PURE,
                                    F_TRANSMITTER, lower_program)
@@ -50,9 +49,6 @@ class VectorSPTEngine(SPTEngine):
     def __init__(self, model: AttackModel, backward: bool = True,
                  shadow: ShadowMode = ShadowMode.L1, ideal: bool = False):
         super().__init__(model, backward=backward, shadow=shadow, ideal=ideal)
-        # The vector backend's numpy contract (whole-array table lowering);
-        # the engine's own per-cycle state is pure Python-int bitmasks.
-        require_numpy()
         self._cap = 0
         self._head = 0
         self._tail = 0

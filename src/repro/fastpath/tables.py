@@ -19,8 +19,6 @@ from repro.core.taint_algebra import (PC_INFERABLE_KINDS, PURE_KINDS,
 from repro.isa.instructions import Instruction, Program
 from repro.isa.opcodes import Kind, OpInfo
 
-from repro.fastpath.deps import np
-
 # Flag bits of one lowered instruction word.
 F_PURE = 1 << 0          # kind in PURE_KINDS: forward rule applies
 F_INV_MONO = 1 << 1      # invertible MOVE/ALU_IMM: backward -> src1
@@ -86,9 +84,7 @@ DC_JUMP = 4        # JAL: link write + completes at dispatch
 class ProgramTable:
     """Flat per-PC metadata for one program.
 
-    ``flags`` is a plain Python list (scalar indexing by PC in the hot
-    loop beats a numpy element read); ``flags_v``/``latency_v``/
-    ``mem_size_v`` are the numpy views used by whole-array operations.
+    ``flags`` is a plain Python list indexed by PC in the hot loop.
 
     The remaining columns drive the vector backend's batched frontend
     (:mod:`repro.fastpath.vector_core`): ``insts``/``infos`` give the
@@ -102,8 +98,7 @@ class ProgramTable:
     pin them against those functions over all opcodes.
     """
 
-    __slots__ = ("flags", "flags_v", "latency_v", "mem_size_v",
-                 "insts", "infos", "kindc", "runlen",
+    __slots__ = ("flags", "insts", "infos", "kindc", "runlen",
                  "hasdest", "needs_rs", "dclass", "rtier", "aluc")
 
     def __init__(self, program: Program):
@@ -165,18 +160,6 @@ class ProgramTable:
             run = run + 1 if kindc[pc] == KC_SIMPLE else 0
             runlen[pc] = run
         self.runlen = runlen
-        if np is not None:
-            self.flags_v = np.asarray(self.flags, dtype=np.uint32)
-            self.latency_v = np.asarray([inst.info.latency
-                                         for inst in program],
-                                        dtype=np.int32)
-            self.mem_size_v = np.asarray([inst.info.mem_size
-                                          for inst in program],
-                                         dtype=np.int32)
-        else:                      # pragma: no cover - no-numpy fallback
-            self.flags_v = None
-            self.latency_v = None
-            self.mem_size_v = None
 
 
 def lower_program(program: Program) -> ProgramTable:

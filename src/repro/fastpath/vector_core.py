@@ -57,7 +57,6 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Optional
 
-from repro.fastpath.deps import require_numpy
 from repro.fastpath.spt_vector import VectorSPTEngine, vectorize_engine
 from repro.fastpath.tables import (DC_JUMP, DC_LOAD, DC_NONE, DC_STORE,
                                    F_INV_ALU, F_INV_MONO, F_LOAD,
@@ -86,7 +85,6 @@ class VectorCore(OoOCore):
     """OoO core with the struct-of-arrays fast path (backend="vector")."""
 
     def __init__(self, program, engine=None, params=None, **kwargs):
-        require_numpy()
         if engine is not None:
             engine = vectorize_engine(engine)
         super().__init__(program, engine=engine, params=params, **kwargs)

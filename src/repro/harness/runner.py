@@ -44,10 +44,11 @@ def build_core(program, engine=None, params: Optional[MachineParams] = None,
                **kwargs) -> OoOCore:
     """Construct the core for ``params.backend``.
 
-    The fastpath package (and its numpy dependency) is only imported when
-    the vector backend is actually requested, so the reference backend
-    works on a bare interpreter.  The vector core may wrap ``engine`` in
-    its struct-of-arrays twin — callers must use ``core.engine``, not the
+    The default ``"vector"`` backend builds the fast-path
+    :class:`~repro.fastpath.vector_core.VectorCore`; ``"reference"``
+    builds the reference :class:`OoOCore`, the executable specification
+    it is checked against.  The vector core may wrap ``engine`` in its
+    struct-of-arrays twin — callers must use ``core.engine``, not the
     engine they passed in.
     """
     params = params or MachineParams()

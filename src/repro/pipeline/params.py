@@ -43,10 +43,11 @@ class MachineParams:
     uninit_secret_seed: Optional[int] = None
     # SPT (paper Table 1: untaint broadcast width 3).
     untaint_broadcast_width: int = 3
-    # Execution backend: "reference" is the canonical per-DynInst Python
-    # model; "vector" is the struct-of-arrays fast path (repro.fastpath),
-    # bit-identical by construction and by the differential test suite.
-    backend: str = "reference"
+    # Execution backend: "vector" is the struct-of-arrays fast path
+    # (repro.fastpath); "reference" is the canonical per-DynInst Python
+    # model it is bit-identical to, by construction and by the
+    # differential test suite.
+    backend: str = "vector"
     # Simulation safety net.
     max_cycles: int = 5_000_000
     # Lockstep invariant sanitizer (repro.check): "off" (no checking, zero

@@ -32,7 +32,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from repro.core.attack_model import AttackModel
 from repro.harness.configs import CONFIGURATIONS, make_engine
-from repro.pipeline.core import OoOCore, SimResult
+from repro.harness.runner import build_core
+from repro.pipeline.core import SimResult
 from repro.pipeline.params import MachineParams
 from repro.security import attacks
 from repro.security.attacks import AttackProgram
@@ -137,8 +138,8 @@ def run_scenario(scenario: str, config: str, model: AttackModel,
                  ) -> tuple[bool, SimResult]:
     """Run one scenario cell; returns (leaked, sim_result)."""
     attack = get_scenario(scenario).build()
-    core = OoOCore(attack.program, engine=make_engine(config, model),
-                   params=scenario_params(attack, params))
+    core = build_core(attack.program, engine=make_engine(config, model),
+                      params=scenario_params(attack, params))
     if attack.setup:
         attack.setup(core)
     sim = core.run(max_instructions=500_000)

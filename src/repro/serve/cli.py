@@ -128,7 +128,7 @@ def _build_sweep_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scale", type=int, default=None,
                         help="workload scale (default: REPRO_BENCH_SCALE)")
     parser.add_argument("--backend", choices=["reference", "vector"],
-                        default="reference")
+                        default=MachineParams().backend)
     parser.add_argument("--collect-trace", action="store_true",
                         help="also hash the attacker-visible trace per cell")
     parser.add_argument("--server", default=None, metavar="URL",

@@ -9,7 +9,6 @@ import textwrap
 import pytest
 
 from repro.core.attack_model import AttackModel
-from repro.fastpath import deps
 from repro.harness import cache
 from repro.harness.parallel import RunSpec, run_many
 from repro.harness.runner import build_core
@@ -26,9 +25,10 @@ def test_unknown_backend_is_rejected_by_name():
 def test_build_core_selects_backend():
     from repro.fastpath.vector_core import VectorCore
     program = get_workload("chacha20").program(1)
-    assert type(build_core(program)) is OoOCore
+    assert MachineParams().backend == "vector"
+    assert type(build_core(program)) is VectorCore
     assert type(build_core(
-        program, params=MachineParams(backend="vector"))) is VectorCore
+        program, params=MachineParams(backend="reference"))) is OoOCore
 
 
 def test_vector_core_wraps_spt_engine():
@@ -79,42 +79,38 @@ def test_vector_results_pickle_and_flow_through_run_many(tmp_path,
         [(r.cycles, r.stats) for r in results]
 
 
-def test_vector_backend_without_numpy_raises_actionably(monkeypatch):
-    monkeypatch.setattr(deps, "np", None)
-    program = get_workload("chacha20").program(1)
-    with pytest.raises(ImportError, match="numpy") as info:
-        build_core(program, params=MachineParams(backend="vector"))
-    assert "backend='reference'" in str(info.value)
-
-
-def test_reference_backend_needs_no_numpy():
-    # Run a reference simulation in a subprocess whose import machinery
-    # refuses numpy outright: the reference backend must be unaffected and
-    # the vector backend must fail with the actionable message.
+@pytest.mark.skipif(sys.version_info < (3, 10),
+                    reason="needs sys.stdlib_module_names")
+def test_backends_run_without_third_party_packages():
+    # Both backends run in a subprocess whose import machinery refuses
+    # every module outside the standard library and the package itself:
+    # the package has no third-party runtime dependency, and the default
+    # (vector) cell matches the reference cell digest for digest.
     script = textwrap.dedent("""
         import sys
 
-        class BlockNumpy:
+        class StdlibOnly:
             def find_spec(self, name, path=None, target=None):
-                if name == "numpy" or name.startswith("numpy."):
-                    raise ImportError("numpy is blocked in this test")
+                top = name.partition(".")[0]
+                if top != "repro" and top not in sys.stdlib_module_names:
+                    raise ImportError(f"{name} is blocked in this test")
                 return None
 
-        sys.meta_path.insert(0, BlockNumpy())
+        sys.meta_path.insert(0, StdlibOnly())
         from repro.harness.runner import run_one
         from repro.pipeline.params import MachineParams
 
-        result = run_one("chacha20", "SPT{Bwd,ShadowL1}",
-                         max_instructions=300)
-        assert result.retired > 0, result.retired
-        try:
-            run_one("chacha20", "SPT{Bwd,ShadowL1}", max_instructions=300,
-                    params=MachineParams(backend="vector"))
-        except ImportError as exc:
-            assert "backend='reference'" in str(exc), exc
-        else:
-            raise AssertionError("vector backend ran without numpy")
-        print("no-numpy-ok")
+        cell = dict(workload="chacha20", config="SPT{Bwd,ShadowL1}",
+                    max_instructions=2000, collect_trace=True)
+        default = run_one(**cell)
+        reference = run_one(params=MachineParams(backend="reference"),
+                            **cell)
+        assert default.retired > 0, default.retired
+        assert default.trace_digests, default.trace_digests
+        assert default.trace_digests == reference.trace_digests
+        assert (default.cycles, default.stats) == \\
+            (reference.cycles, reference.stats)
+        print("stdlib-only-ok")
     """)
     repo_root = os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__))))
@@ -125,4 +121,4 @@ def test_reference_backend_needs_no_numpy():
         [sys.executable, "-c", script], capture_output=True, text=True,
         env=env, cwd=repo_root)
     assert completed.returncode == 0, completed.stderr
-    assert "no-numpy-ok" in completed.stdout
+    assert "stdlib-only-ok" in completed.stdout

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.core.attack_model import AttackModel
 from repro.fastpath.diff import compare_cell
 from repro.harness.configs import make_engine

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.attack_model import AttackModel
 from repro.harness.configs import CONFIGURATIONS
+from repro.pipeline.params import MachineParams
 from repro.security import attacks, scenarios
 
 from tests.conftest import BOTH_MODELS
@@ -51,11 +52,13 @@ def test_expected_to_leak_rejects_unknown_names():
         scenarios.expected_to_leak("not-a-scenario", "STT")
 
 
+@pytest.mark.parametrize("backend", ["reference", "vector"])
 @pytest.mark.parametrize("model", BOTH_MODELS)
 @pytest.mark.parametrize("config", list(CONFIGURATIONS))
 @pytest.mark.parametrize("name", sorted(scenarios.SCENARIOS))
-def test_scenario_cell_matches_expectation(name, config, model):
-    leaked, sim = scenarios.run_scenario(name, config, model)
+def test_scenario_cell_matches_expectation(name, config, model, backend):
+    leaked, sim = scenarios.run_scenario(
+        name, config, model, params=MachineParams(backend=backend))
     assert sim.halted
     assert leaked == scenarios.expected_to_leak(name, config), (
         f"{name} under {config}/{model.value}: leaked={leaked}")
