@@ -275,12 +275,6 @@ def main(argv: Optional[list] = None) -> int:
     if argv and argv[0] == "backend-diff":
         from repro.fastpath.diff import main as diff_main
         return diff_main(argv[1:])
-    if argv and argv[0] == "serve":
-        from repro.serve.cli import serve_main
-        return serve_main(argv[1:])
-    if argv and argv[0] == "sweep":
-        from repro.serve.cli import sweep_main
-        return sweep_main(argv[1:])
     if argv and argv[0] == "cache":
         from repro.harness.cache_cli import cache_main
         return cache_main(argv[1:])

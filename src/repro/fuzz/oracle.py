@@ -4,7 +4,7 @@ A victim leaks under a configuration when running it with two different
 secrets produces different attacker-visible traces.  The oracle reduces
 each run to per-channel digests (:func:`repro.security.observer.
 channel_digests`), diffs the pair, and judges the divergence against the
-expected-leak matrix — the same matrix as ``pentest.expected_to_leak``,
+expected-leak matrix — the same matrix as ``scenarios.expected_to_leak``,
 keyed by how the victim exposes its secret instead of by attack name:
 
 * ``UnsafeBaseline`` is *expected* to diverge — campaigns use those

@@ -113,12 +113,7 @@ def _path_for(key: str) -> str:
 
 
 def result_to_blob(result: RunResult) -> dict:
-    """The JSON-safe wire/disk form of a ``RunResult``.
-
-    Shared by the on-disk cache and the ``repro.serve`` wire protocol, so
-    a result round-trips identically whether it came from the local disk
-    tier or over HTTP from a remote instance.
-    """
+    """The JSON-safe on-disk form of a ``RunResult``."""
     return {
         "workload": result.workload,
         "config": result.config,
@@ -244,9 +239,7 @@ def gc(max_bytes: Optional[int] = None, tmp_max_age: float = 3600.0,
     writers (``store`` writes to a tempfile and renames); any older than
     ``tmp_max_age`` seconds is garbage by construction.  When the entry
     set exceeds ``max_bytes``, oldest-``mtime`` entries are deleted until
-    it fits — mtime-LRU, since ``load`` never touches entries.  A
-    long-running ``repro serve`` calls this periodically so its disk tier
-    cannot grow without bound.
+    it fits — mtime-LRU, since ``load`` never touches entries.
     """
     if now is None:
         now = time.time()

@@ -188,10 +188,9 @@ def run_many(specs: Sequence[RunSpec],
     ``jobs=None`` reads ``REPRO_JOBS`` / CPU count; ``jobs=1`` forces the
     in-process serial path.
 
-    Dedup, cache prefill, and spec-order reassembly live in the shared
-    planning layer (:mod:`repro.serve.planner`); this function is the
-    local executor of a plan — the ``repro serve`` server executes the
-    same plan shape through its tiered store and scheduler instead.
+    Dedup, cache prefill, and spec-order reassembly live in the sweep
+    planner (:mod:`repro.serve.planner`); this function executes its
+    misses.
     """
     from repro.serve.planner import plan_sweep
 

@@ -103,7 +103,7 @@ SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
         attacks.uninit_transient),
 )}
 
-# Historical names used by the original pen-test pair keep working.
+# The historical name of the bounds-check-bypass scenario keeps working.
 ALIASES = {"spectre-v1": "spectre-pht"}
 
 
@@ -112,12 +112,10 @@ def get_scenario(name: str) -> Scenario:
     return SCENARIOS[ALIASES.get(name, name)]
 
 
-def expected_to_leak(scenario: str, config: str,
-                     model: Optional[AttackModel] = None) -> bool:
-    """The declarative expectation table, replacing the old hard-coding.
+def expected_to_leak(scenario: str, config: str) -> bool:
+    """The declarative expectation table (KeyError on unknown names).
 
-    ``model`` is accepted for symmetry with ``run_scenario`` but ignored:
-    the expectation rows are attack-model independent by construction.
+    The rows are attack-model independent by construction.
     """
     if config not in CONFIGURATIONS:
         raise KeyError(config)

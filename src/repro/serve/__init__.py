@@ -1,28 +1,9 @@
-"""Simulation-as-a-service: the sweep server, its store, and its clients.
+"""Sweep planning for ``repro.harness.run_many``.
 
-``repro serve`` turns the harness into a long-running service so that
-concurrent consumers (CI, nightly campaigns, interactive figure runs)
-share one memoisation and scheduling substrate instead of each owning a
-ProcessPoolExecutor and racing the disk cache:
-
-* :mod:`repro.serve.planner` — the sweep-planning layer (dedup, cache
-  prefill, spec-order reassembly) shared by ``run_many``, the CLI, and
-  the server.
-* :mod:`repro.serve.store` — the tiered content-addressed result store:
-  in-process byte-budgeted LRU → disk cache → optional remote instance,
-  with single-flight coalescing of identical in-flight cells.
-* :mod:`repro.serve.scheduler` — fair-share/priority queueing of cache
-  misses onto a worker pool with hang-abandoning per-run timeouts.
-* :mod:`repro.serve.server` — the hand-rolled asyncio HTTP server and
-  its NDJSON streaming sweep protocol (zero dependencies).
-* :mod:`repro.serve.client` — ``repro sweep --server URL``: retrying
-  client with graceful fallback to local execution.
-
-The cache-key discipline built for the disk cache (CACHE_VERSION, source
-fingerprint, check_level, backend — see ``harness/cache.py``) is what
-makes sharing results across processes and machines sound: a key names
-the simulation's full input set, so any two holders of the same key hold
-bit-identical results.
+The planner belongs with the harness, but it stays at this import path
+for now: the repository benchmark's tracer (``perfbench/tracing.py``)
+patches ``repro.serve.planner.plan_sweep`` by name, and ``run_many``
+imports it from here at call time so that the patch is seen.
 """
 
 from repro.serve.planner import SweepPlan, plan_sweep

@@ -1,18 +1,15 @@
-"""Sweep planning: one shared dedup/cache-lookup/ordering path.
+"""Sweep planning: dedup, cache prefill and spec-order reassembly.
 
-Every consumer of the harness — ``run_many`` for the CLI and CI, the
-``repro serve`` server for remote clients — faces the same bookkeeping:
-a sweep arrives as an ordered list of :class:`RunSpec` cells, identical
-cells must be simulated once, cells already known (disk cache, store
-tier) must not be simulated at all, and results must come back in spec
-order regardless of completion order.  :class:`SweepPlan` is that
-bookkeeping, factored out so the executors only differ in *how* they
-satisfy the misses (a local pool vs. the tiered store + scheduler).
+A sweep arrives as an ordered list of :class:`RunSpec` cells.  Identical
+cells must be simulated once, cells already in the disk cache must not
+be simulated at all, and results must come back in spec order regardless
+of completion order.  :class:`SweepPlan` is that bookkeeping;
+``run_many`` is its executor.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from repro.harness import cache
 
@@ -29,29 +26,18 @@ class SweepPlan:
     def __init__(self, specs: Sequence, keys: Sequence[str]):
         self.specs = list(specs)
         self.keys = list(keys)
-        self._by_key: dict = {}         # key -> RunResult (hits + recorded)
+        self._by_key: dict = {}         # key -> RunResult (hit or computed)
         self.miss_keys: list = []
         self.miss_specs: list = []
-        self.hits = 0                   # specs satisfied at plan time
 
     @property
     def unique_cells(self) -> int:
         """Distinct simulations this sweep names (hit or miss)."""
         return len(set(self.keys))
 
-    def prefill(self, key: str, result) -> None:
-        """Mark ``key`` as already known (a cache/store hit)."""
-        self._by_key[key] = result
-
     def record(self, key: str, result) -> None:
-        """Feed back the computed result for a planned miss."""
+        """Store the result for ``key`` (a cache hit or a computed miss)."""
         self._by_key[key] = result
-
-    def pending(self) -> list:
-        """The ``(key, spec)`` pairs not yet recorded."""
-        return [(key, spec) for key, spec in zip(self.miss_keys,
-                                                 self.miss_specs)
-                if key not in self._by_key]
 
     def results(self) -> list:
         """All results in spec order; raises if any cell is unrecorded."""
@@ -62,42 +48,21 @@ class SweepPlan:
                 f"recorded (first: {missing[0][:16]}...)")
         return [self._by_key[key] for key in self.keys]
 
-    def indexes_for(self, key: str) -> list:
-        """Spec positions satisfied by ``key`` (for per-cell streaming)."""
-        return [index for index, k in enumerate(self.keys) if k == key]
 
-
-def plan_sweep(specs: Sequence, use_cache: Optional[bool] = None,
-               lookup: Optional[Callable] = None) -> SweepPlan:
-    """Plan a sweep: compute keys, prefill known results, list misses.
-
-    ``lookup`` maps a cache key to a known ``RunResult`` or None; the
-    default consults the persistent disk cache when caching is enabled
-    (``use_cache=None`` reads ``REPRO_NO_CACHE``).  The server passes
-    ``use_cache=False`` and resolves misses through its tiered store
-    instead, so a hit is counted per tier rather than at plan time.
-    """
+def plan_sweep(specs: Sequence, use_cache: bool) -> SweepPlan:
+    """Plan a sweep: compute keys, prefill disk-cache hits, list misses."""
     keys = [spec.key() for spec in specs]
     plan = SweepPlan(specs, keys)
-    if lookup is None:
-        if use_cache is None:
-            use_cache = cache.cache_enabled()
-        lookup = cache.load if use_cache else None
-
     seen: set = set()
     for spec, key in zip(plan.specs, keys):
-        if key in plan._by_key:
-            plan.hits += 1
-            continue
         if key in seen:
             continue
-        if lookup is not None:
-            known = lookup(key)
-            if known is not None:
-                plan.prefill(key, known)
-                plan.hits += 1
-                continue
         seen.add(key)
+        if use_cache:
+            known = cache.load(key)
+            if known is not None:
+                plan.record(key, known)
+                continue
         plan.miss_keys.append(key)
         plan.miss_specs.append(spec)
     return plan

@@ -1,9 +1,8 @@
-"""Tests for the shared sweep-planning layer (``repro.serve.planner``)."""
+"""Tests for the sweep planner behind ``run_many`` (``repro.serve.planner``)."""
 
 import pytest
 
 from repro.core.attack_model import AttackModel
-from repro.harness import cache
 from repro.harness.parallel import RunSpec, run_many
 from repro.serve.planner import plan_sweep
 
@@ -20,7 +19,6 @@ def test_dedup_one_miss_per_distinct_key():
     plan = plan_sweep(specs_with_duplicates(), use_cache=False)
     assert plan.unique_cells == 2
     assert len(plan.miss_specs) == 2
-    assert plan.hits == 0
 
 
 def test_model_independent_configs_share_a_cell():
@@ -52,38 +50,11 @@ def test_incomplete_plan_raises():
         plan.results()
 
 
-def test_pending_shrinks_as_results_land():
-    plan = plan_sweep(specs_with_duplicates(), use_cache=False)
-    assert len(plan.pending()) == 2
-    plan.record(plan.miss_keys[0], "done")
-    assert len(plan.pending()) == 1
-
-
 def test_cache_prefill_marks_hits():
     spec = RunSpec("mcf", "UnsafeBaseline", max_instructions=BUDGET)
     run_many([spec], jobs=1, use_cache=True)          # populate disk cache
     plan = plan_sweep([spec, spec], use_cache=True)
-    assert plan.hits == 2
     assert not plan.miss_specs
     results = plan.results()
     assert results[0].workload == "mcf"
     assert results[0] is results[1]
-
-
-def test_custom_lookup_overrides_cache(monkeypatch):
-    spec = RunSpec("mcf", "UnsafeBaseline", max_instructions=BUDGET)
-
-    def explode(_key):
-        raise AssertionError("disk cache must not be consulted")
-
-    monkeypatch.setattr(cache, "load", explode)
-    plan = plan_sweep([spec], lookup=lambda key: "injected")
-    assert plan.hits == 1
-    assert plan.results() == ["injected"]
-
-
-def test_indexes_for_names_every_duplicate_slot():
-    specs = specs_with_duplicates()
-    plan = plan_sweep(specs, use_cache=False)
-    xz_key = specs[0].key()
-    assert plan.indexes_for(xz_key) == [0, 2, 4]

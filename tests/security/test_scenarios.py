@@ -9,6 +9,9 @@ the expectation rows exactly:
   UnsafeBaseline *and STT* leak — the protection-scope gap SPT closes.
 """
 
+import dataclasses
+import functools
+
 import pytest
 
 from repro.core.attack_model import AttackModel
@@ -62,6 +65,34 @@ def test_scenario_cell_matches_expectation(name, config, model, backend):
     assert sim.halted
     assert leaked == scenarios.expected_to_leak(name, config), (
         f"{name} under {config}/{model.value}: leaked={leaked}")
+
+
+@pytest.mark.parametrize("secret", [0x11, 0x80, 0xFE])
+def test_spectre_pht_verdicts_hold_for_any_secret_byte(secret, monkeypatch):
+    pht = scenarios.SCENARIOS["spectre-pht"]
+    monkeypatch.setitem(scenarios.SCENARIOS, "spectre-pht", dataclasses.replace(
+        pht, build=functools.partial(attacks.spectre_v1, secret=secret)))
+    for config in ("UnsafeBaseline", "SPT{Bwd,ShadowL1}"):
+        leaked, _ = scenarios.run_scenario("spectre-pht", config,
+                                           AttackModel.FUTURISTIC)
+        assert leaked == scenarios.expected_to_leak("spectre-pht", config), (
+            f"secret {secret:#x} under {config}: leaked={leaked}")
+
+
+def test_attack_builders_reject_bad_secret():
+    with pytest.raises(ValueError):
+        attacks.spectre_v1(secret=300)
+    with pytest.raises(ValueError):
+        attacks.nonspec_secret(secret=-1)
+
+
+def test_verdicts_hold_on_a_non_default_machine(small_params):
+    for name in ("spectre-pht", "nonspec-secret"):
+        for config in ("UnsafeBaseline", "SPT{Bwd,ShadowL1}"):
+            leaked, _ = scenarios.run_scenario(
+                name, config, AttackModel.SPECTRE, params=small_params)
+            assert leaked == scenarios.expected_to_leak(name, config), (
+                f"{name} under {config} on a small machine: leaked={leaked}")
 
 
 def test_matrix_deterministic_across_worker_processes():
