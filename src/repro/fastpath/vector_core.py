@@ -53,7 +53,6 @@ vector backend against the golden interpreter.
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappop, heappush
 from typing import Optional
 
@@ -130,9 +129,6 @@ class VectorCore(OoOCore):
                     and self.cycle == 0):
                 self._fast = True
                 self._table = lower_program(self.program)
-                # The fast dispatch pops from the left; the reference's
-                # ``pop(0)`` list is only kept for the reference phases.
-                self.fetch_buffer = deque(self.fetch_buffer)
         if self._fast:
             return self._run_fast(max_instructions)
         budget = max_instructions

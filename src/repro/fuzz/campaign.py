@@ -175,7 +175,8 @@ def _counterexample_record(item: _SeedWork, verdict, cfg) -> dict:
         "instructions": len(program_a.instructions),
         "detail": divergence_detail(
             program_a, render(item.plan, item.secrets[1]),
-            verdict.config, verdict.model),
+            verdict.config, verdict.model,
+            max_instructions=cfg.max_instructions),
     }
     if cfg.minimize:
         minimized = minimize_plan(item.plan, item.secrets, verdict.config,

@@ -22,10 +22,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.attack_model import AttackModel
+from repro.harness import runner
 from repro.harness.configs import make_engine
 from repro.isa.instructions import Program
 from repro.isa.interpreter import run_program
-from repro.pipeline.core import OoOCore
+# Unused here: perfbench/tracing.py patches ``oracle.OoOCore`` by name, so
+# the name must stay until the tracer is re-pointed at ``build_core``.
+from repro.pipeline.core import OoOCore  # noqa: F401
 from repro.pipeline.params import MachineParams
 from repro.security.observer import (channel_digests, differing_channels,
                                      differing_events)
@@ -90,9 +93,14 @@ def architectural_dependence(a: Program, b: Program,
 def run_traced(program: Program, config: str, model: AttackModel,
                params: Optional[MachineParams] = None,
                max_instructions: int = FUZZ_BUDGET):
-    """One in-process simulation, returning the SimResult (with observer)."""
-    core = OoOCore(program, engine=make_engine(config, model),
-                   params=params or MachineParams())
+    """One in-process simulation, returning the SimResult (with observer).
+
+    The core comes from ``runner.build_core``, so ``params.backend``
+    picks it: the vector core by default, the reference ``OoOCore`` with
+    ``MachineParams(backend="reference")``.
+    """
+    core = runner.build_core(program, engine=make_engine(config, model),
+                             params=params or MachineParams())
     sim = core.run(max_instructions=max_instructions)
     if not sim.halted:
         raise RuntimeError(
@@ -116,10 +124,12 @@ def check_pair_direct(a: Program, b: Program, config: str,
 
 
 def divergence_detail(a: Program, b: Program, config: str,
-                      model: AttackModel, limit: int = 5) -> str:
+                      model: AttackModel, limit: int = 5,
+                      params: Optional[MachineParams] = None,
+                      max_instructions: int = FUZZ_BUDGET) -> str:
     """Human-readable first differing events (counterexample reports)."""
-    sim_a = run_traced(a, config, model)
-    sim_b = run_traced(b, config, model)
+    sim_a = run_traced(a, config, model, params, max_instructions)
+    sim_b = run_traced(b, config, model, params, max_instructions)
     diffs = differing_events(sim_a.observer, sim_b.observer, limit=limit)
     if not diffs and sim_a.cycles != sim_b.cycles:
         return f"event streams equal; total cycles {sim_a.cycles} != {sim_b.cycles}"

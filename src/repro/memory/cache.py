@@ -49,8 +49,9 @@ class Cache:
         self.params = params
         self.stats = CacheStats()
         self._num_sets = params.num_sets
-        # Per set: list of line addresses, most recently used last.
-        self._sets: list[list[int]] = [[] for _ in range(self._num_sets)]
+        # Set index -> line addresses, most recently used last.  A set is
+        # allocated on its first access; a missing set is an empty one.
+        self._sets: dict[int, list[int]] = {}
 
     def line_address(self, address: int) -> int:
         return address - address % self.params.line_bytes
@@ -61,7 +62,7 @@ class Cache:
     def probe(self, address: int) -> bool:
         """Tag check without any state change."""
         line = self.line_address(address)
-        return line in self._sets[self._set_index(line)]
+        return line in self._sets.get(self._set_index(line), ())
 
     def access(self, address: int) -> tuple[bool, Optional[int]]:
         """Access ``address``; returns (hit, evicted_line_or_None).
@@ -70,8 +71,11 @@ class Cache:
         full.
         """
         line = self.line_address(address)
-        ways = self._sets[self._set_index(line)]
-        if line in ways:
+        index = self._set_index(line)
+        ways = self._sets.get(index)
+        if ways is None:
+            ways = self._sets[index] = []
+        elif line in ways:
             ways.remove(line)
             ways.append(line)
             self.stats.hits += 1
@@ -87,11 +91,13 @@ class Cache:
     def invalidate(self, address: int) -> bool:
         """Drop the line holding ``address``; returns whether it was present."""
         line = self.line_address(address)
-        ways = self._sets[self._set_index(line)]
+        ways = self._sets.get(self._set_index(line), ())
         if line in ways:
             ways.remove(line)
             return True
         return False
 
     def resident_lines(self) -> list[int]:
-        return [line for ways in self._sets for line in ways]
+        """Every resident line, in set-index order then LRU order."""
+        return [line for index in sorted(self._sets)
+                for line in self._sets[index]]

@@ -117,7 +117,7 @@ class OoOCore:
 
         # Frontend.
         self.fetch_pc = 0
-        self.fetch_buffer: list[tuple[int, DynInst]] = []   # (ready_cycle, di)
+        self.fetch_buffer: deque[tuple[int, DynInst]] = deque()   # (ready_cycle, di)
         self.fetch_halted = False          # HALT fetched / off-program
         self.fetch_wait_for: Optional[DynInst] = None   # JALR with no BTB target
         self.fetch_resume_cycle = 0
@@ -762,7 +762,7 @@ class OoOCore:
             if di.is_store and self._lsq_count(is_store=True) >= self.params.sq_entries:
                 self.dispatch_block = int(StallCause.LSQ_FULL)
                 break
-            self.fetch_buffer.pop(0)
+            self.fetch_buffer.popleft()
             self._activity += 1
             di.dispatch_cycle = self.cycle
             self.rename.rename(di)

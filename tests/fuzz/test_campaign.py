@@ -5,9 +5,11 @@ import json
 import pytest
 
 from repro.core.attack_model import AttackModel
+from repro.fuzz import campaign, oracle
 from repro.fuzz.campaign import CampaignConfig, run_campaign
 from repro.fuzz.cli import main as fuzz_main
 from repro.fuzz.corpus import Corpus
+from repro.fuzz.oracle import CellVerdict
 from repro.fuzz.report import FuzzReport, render_report
 
 # Two configurations and one model keep the campaign tests fast while still
@@ -58,6 +60,28 @@ def test_campaign_without_unsafe_baseline_skips_sanity_gate():
     report = run_campaign(cfg)
     assert report.unsafe_divergences == 0
     assert report.sanity_ok and report.ok
+
+
+def test_counterexample_detail_runs_at_the_campaign_budget(monkeypatch):
+    """The detail re-simulation uses ``max_instructions``, not FUZZ_BUDGET."""
+    budgets = []
+
+    def spy(program, config, model, params=None,
+            max_instructions=oracle.FUZZ_BUDGET):
+        budgets.append(max_instructions)
+        return run_traced(program, config, model, params, max_instructions)
+
+    def every_divergence_unexpected(exposure, config, model, channels):
+        return CellVerdict(config, model, tuple(channels), False)
+
+    run_traced = oracle.run_traced
+    monkeypatch.setattr(oracle, "run_traced", spy)
+    monkeypatch.setattr(campaign, "classify", every_divergence_unexpected)
+    report = run_campaign(CampaignConfig(
+        seeds=4, max_instructions=123_456,
+        **dict(FAST_SWEEP, configs=["UnsafeBaseline"])))
+    assert report.counterexamples, "no divergence to explain"
+    assert budgets and set(budgets) == {123_456}
 
 
 def test_corpus_skips_truncated_trailing_line(tmp_path):

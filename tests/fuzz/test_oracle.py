@@ -12,12 +12,18 @@ The planted gadgets here are the oracle's ground truth:
 import pytest
 
 from repro.core.attack_model import AttackModel
+from repro.fastpath.vector_core import VectorCore
+from repro.fuzz import oracle
 from repro.fuzz.generator import Gadget, generate_plan, render, secret_pair, \
     with_blocks
 from repro.fuzz.oracle import (architectural_dependence, check_pair_direct,
                                classify, divergence_detail,
-                               expected_to_diverge)
+                               expected_to_diverge, run_traced)
+from repro.harness import runner
 from repro.harness.configs import CONFIGURATIONS
+from repro.pipeline.core import OoOCore
+from repro.pipeline.params import MachineParams
+from repro.security.observer import channel_digests
 
 SPT_CONFIGS = [name for name in CONFIGURATIONS if name.startswith("SPT")]
 
@@ -87,6 +93,48 @@ def test_divergence_detail_shows_differing_events():
     a, b = _planted("speculative")
     detail = divergence_detail(a, b, "UnsafeBaseline", AttackModel.SPECTRE)
     assert detail.strip(), "a diverging pair must produce a visible diff"
+
+
+REFERENCE = MachineParams(backend="reference")
+BACKEND_CONFIGS = ["UnsafeBaseline", "STT", "SPT{Bwd,ShadowL1}"]
+
+
+@pytest.mark.parametrize("profile", ["quick", "default", "hard", "deep"])
+def test_oracle_is_backend_independent(profile):
+    """The default (vector) oracle sees what the reference core sees."""
+    for seed in range(2):
+        plan = generate_plan(seed, profile)
+        a, b = (render(plan, s) for s in secret_pair(seed))
+        for config in BACKEND_CONFIGS:
+            for model in (AttackModel.SPECTRE, AttackModel.FUTURISTIC):
+                cell = f"{profile}/{seed} {config}/{model.value}"
+                ref = run_traced(a, config, model, REFERENCE)
+                vec = run_traced(a, config, model)
+                assert vec.cycles == ref.cycles, cell
+                assert vec.stats == ref.stats, cell
+                assert (channel_digests(vec.observer, vec.cycles)
+                        == channel_digests(ref.observer, ref.cycles)), cell
+                assert (check_pair_direct(a, b, config, model)
+                        == check_pair_direct(a, b, config, model,
+                                             REFERENCE)), cell
+
+
+def test_run_traced_builds_the_core_for_the_backend(monkeypatch):
+    built = []
+
+    def spy(*args, **kwargs):
+        core = build_core(*args, **kwargs)
+        built.append(type(core))
+        return core
+
+    build_core = runner.build_core
+    monkeypatch.setattr(runner, "build_core", spy)
+    a, _ = _planted("speculative")
+    run_traced(a, "UnsafeBaseline", AttackModel.SPECTRE)
+    run_traced(a, "UnsafeBaseline", AttackModel.SPECTRE, REFERENCE)
+    assert built == [VectorCore, OoOCore]
+    # The benchmark tracer patches the name, so it must stay importable.
+    assert oracle.OoOCore is OoOCore
 
 
 def test_oracle_rejects_bad_exposure():
