@@ -125,11 +125,10 @@ def check_pair_direct(a: Program, b: Program, config: str,
 
 def divergence_detail(a: Program, b: Program, config: str,
                       model: AttackModel, limit: int = 5,
-                      params: Optional[MachineParams] = None,
                       max_instructions: int = FUZZ_BUDGET) -> str:
     """Human-readable first differing events (counterexample reports)."""
-    sim_a = run_traced(a, config, model, params, max_instructions)
-    sim_b = run_traced(b, config, model, params, max_instructions)
+    sim_a = run_traced(a, config, model, max_instructions=max_instructions)
+    sim_b = run_traced(b, config, model, max_instructions=max_instructions)
     diffs = differing_events(sim_a.observer, sim_b.observer, limit=limit)
     if not diffs and sim_a.cycles != sim_b.cycles:
         return f"event streams equal; total cycles {sim_a.cycles} != {sim_b.cycles}"

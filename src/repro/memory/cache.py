@@ -9,6 +9,7 @@ Section 7.5 of the paper).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,8 +51,8 @@ class Cache:
         self.stats = CacheStats()
         self._num_sets = params.num_sets
         # Set index -> line addresses, most recently used last.  A set is
-        # allocated on its first access; a missing set is an empty one.
-        self._sets: dict[int, list[int]] = {}
+        # allocated the first time it is looked up.
+        self._sets: defaultdict[int, list[int]] = defaultdict(list)
 
     def line_address(self, address: int) -> int:
         return address - address % self.params.line_bytes
@@ -62,7 +63,7 @@ class Cache:
     def probe(self, address: int) -> bool:
         """Tag check without any state change."""
         line = self.line_address(address)
-        return line in self._sets.get(self._set_index(line), ())
+        return line in self._sets[self._set_index(line)]
 
     def access(self, address: int) -> tuple[bool, Optional[int]]:
         """Access ``address``; returns (hit, evicted_line_or_None).
@@ -71,11 +72,8 @@ class Cache:
         full.
         """
         line = self.line_address(address)
-        index = self._set_index(line)
-        ways = self._sets.get(index)
-        if ways is None:
-            ways = self._sets[index] = []
-        elif line in ways:
+        ways = self._sets[self._set_index(line)]
+        if line in ways:
             ways.remove(line)
             ways.append(line)
             self.stats.hits += 1
@@ -91,13 +89,11 @@ class Cache:
     def invalidate(self, address: int) -> bool:
         """Drop the line holding ``address``; returns whether it was present."""
         line = self.line_address(address)
-        ways = self._sets.get(self._set_index(line), ())
+        ways = self._sets[self._set_index(line)]
         if line in ways:
             ways.remove(line)
             return True
         return False
 
     def resident_lines(self) -> list[int]:
-        """Every resident line, in set-index order then LRU order."""
-        return [line for index in sorted(self._sets)
-                for line in self._sets[index]]
+        return [line for ways in self._sets.values() for line in ways]

@@ -23,7 +23,7 @@ from repro.harness import runner
 from repro.harness.configs import CONFIGURATIONS
 from repro.pipeline.core import OoOCore
 from repro.pipeline.params import MachineParams
-from repro.security.observer import channel_digests
+from repro.security.observer import channel_digests, differing_channels
 
 SPT_CONFIGS = [name for name in CONFIGURATIONS if name.startswith("SPT")]
 
@@ -108,15 +108,17 @@ def test_oracle_is_backend_independent(profile):
         for config in BACKEND_CONFIGS:
             for model in (AttackModel.SPECTRE, AttackModel.FUTURISTIC):
                 cell = f"{profile}/{seed} {config}/{model.value}"
-                ref = run_traced(a, config, model, REFERENCE)
-                vec = run_traced(a, config, model)
-                assert vec.cycles == ref.cycles, cell
-                assert vec.stats == ref.stats, cell
-                assert (channel_digests(vec.observer, vec.cycles)
-                        == channel_digests(ref.observer, ref.cycles)), cell
-                assert (check_pair_direct(a, b, config, model)
-                        == check_pair_direct(a, b, config, model,
-                                             REFERENCE)), cell
+                ref = [run_traced(p, config, model, REFERENCE) for p in (a, b)]
+                vec = [run_traced(p, config, model) for p in (a, b)]
+                assert [s.cycles for s in vec] == [s.cycles for s in ref], cell
+                assert [s.stats for s in vec] == [s.stats for s in ref], cell
+                ref_digests = [channel_digests(s.observer, s.cycles)
+                               for s in ref]
+                vec_digests = [channel_digests(s.observer, s.cycles)
+                               for s in vec]
+                assert vec_digests == ref_digests, cell
+                assert (differing_channels(*vec_digests)
+                        == differing_channels(*ref_digests)), cell
 
 
 def test_run_traced_builds_the_core_for_the_backend(monkeypatch):
