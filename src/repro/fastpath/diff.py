@@ -72,11 +72,15 @@ def build_parser() -> argparse.ArgumentParser:
 def run_backend(workload: str, config: str, model: AttackModel,
                 scale: int, budget: int, backend: str) -> dict:
     """One cell under one backend, reduced to its comparable outcome."""
-    program = get_workload(workload).program(scale)
-    engine = make_engine(config, model)
-    params = MachineParams(backend=backend)
-    core = build_core(program, engine=engine, params=params,
-                      record_retired_pcs=True)
+    return program_outcome(get_workload(workload).program(scale), config,
+                           model, budget, MachineParams(backend=backend))
+
+
+def program_outcome(program, config: str, model: AttackModel, budget: int,
+                    params: MachineParams) -> dict:
+    """One simulation of ``program`` reduced to its comparable outcome."""
+    core = build_core(program, engine=make_engine(config, model),
+                      params=params, record_retired_pcs=True)
     try:
         sim = core.run(max_instructions=budget)
     except SimulationError as exc:

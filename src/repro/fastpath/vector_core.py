@@ -43,7 +43,13 @@ tracer), the phases switch to table-driven fast paths:
   loop's program-order width/gating semantics without touching entries
   whose operands cannot have changed.  Structures hold ``(seq, di)``
   pairs and revalidate ``di.seq`` before trusting an entry, which makes
-  stale references from squashes (and pooled recycling) self-cleaning.
+  stale references from squashes (and pooled recycling) self-cleaning;
+* **event-driven memory stage** replaces the per-cycle LSQ walk with two
+  seq-tagged worklists filled at address resolution — unissued loads in
+  seq order and stores waiting for their data — reuses each load's
+  dependence decision until a store address resolves or a store
+  retires, and parks a non-forwarded load that stalled on exhausted
+  MSHRs until the earliest busy MSHR expires.
 
 Both layers are disabled under ``check_level != "off"`` (the lockstep
 sanitizer wants to see every cycle and every real ``DynInst``) and when
@@ -53,6 +59,7 @@ vector backend against the golden interpreter.
 
 from __future__ import annotations
 
+from bisect import insort
 from heapq import heappop, heappush
 from typing import Optional
 
@@ -119,9 +126,18 @@ class VectorCore(OoOCore):
         # Loads whose data arrived this cycle (writeback bucket pop), to be
         # finalised by _finish_loads without scanning the LSQ.
         self._fin_loads: list[DynInst] = []
+        # Memory-stage worklists, filled when an address resolves (see
+        # _memory_stage).  Loads not yet issued, in seq order, as
+        # [seq, di, epoch, blocked, forward_store, parked_until]; stores
+        # waiting for their data, as (seq, di).  ``_mem_epoch`` counts the
+        # events that can change a load's dependence decision: a store
+        # address resolving, a store retiring.
+        self._ld_wait: list = []
+        self._st_wait: list = []
+        self._mem_epoch = 0
 
     # ------------------------------------------------------------------ run
-    def run(self, max_instructions: int = 1_000_000) -> SimResult:
+    def _simulate(self, max_instructions: int) -> SimResult:
         """Reference run loop plus fast-forwarding and batched phases."""
         if not self._fast_decided:
             self._fast_decided = True
@@ -423,11 +439,94 @@ class VectorCore(OoOCore):
                     b.append(di)
             else:
                 self._execute(di)
+                if di.is_load:
+                    insort(self._ld_wait, [seq, di, -1, False, None, 0])
+                elif di.is_store:
+                    self._st_wait.append(entry)
+                    self._mem_epoch += 1
             self._rs_count -= 1
             issued += 1
         if delayed:
             self._transmitters_delayed += delayed
         self._rs_gated = new_gated
+
+    # ----------------------------------------------------------- memory stage
+    def _memory_stage(self) -> None:
+        if not self._fast:
+            return super()._memory_stage()
+        if self._pending_mds_checks:
+            for store in self._pending_mds_checks:
+                if not store.squashed:
+                    self._check_memory_order_violation(store)
+            self._pending_mds_checks.clear()
+        # Event-driven: instead of walking the LSQ, visit the stores whose
+        # address resolved and whose data is still missing, then the loads
+        # with a known address that have not issued.  A store's data
+        # capture only matters to younger loads (the forwarding source must
+        # be complete), which the reference reaches later in its LSQ walk,
+        # so draining every store first is equivalent.
+        stores = self._st_wait
+        if stores:
+            ready = self.rename.ready
+            value = self.rename.value
+            waiting = []
+            for entry in stores:
+                st = entry[1]
+                if st.seq != entry[0] or st.squashed:
+                    continue
+                prs2 = st.prs2
+                if prs2 < 0 or ready[prs2]:
+                    st.rs2_value = 0 if prs2 < 0 else value[prs2]
+                    st.complete = True
+                    self._activity += 1
+                else:
+                    waiting.append(entry)
+            self._st_wait = waiting
+        loads = self._ld_wait
+        if not loads:
+            return
+        # Loads go in seq order: issue order decides MSHR and LRU order.
+        # The dependence decision is reused while ``_mem_epoch`` is
+        # unchanged: only an older store's address or its retirement can
+        # change it.  A squash cannot: it removes only instructions younger
+        # than a surviving load, never a store older than one.  A blocked
+        # load, a parked one and one whose forwarding store has no data yet
+        # are skipped without an attempt: the reference's attempt would do
+        # nothing.
+        #
+        # A load that stalls on exhausted MSHRs without forwarding is
+        # parked until the earliest busy MSHR expires: until then every
+        # MSHR stays busy, so no access fills a line and the load's L1 miss
+        # would stall again.  A forwarded load is never parked, because
+        # ``skip_cache_for_forwarding`` has side effects on every consult
+        # (SPT's ``stl_public``, the STL watch list).
+        cycle = self.cycle
+        epoch = self._mem_epoch
+        waiting = []
+        keep = waiting.append
+        for entry in loads:
+            ld = entry[1]
+            if ld.seq != entry[0] or ld.squashed:
+                continue
+            if entry[2] != epoch:
+                entry[2] = epoch
+                entry[3], entry[4] = self._memory_dependences(ld)
+            fwd = entry[4]
+            if entry[3] or (entry[5] > cycle if fwd is None
+                            else not fwd.complete):
+                keep(entry)
+            elif not self._issue_load(ld, fwd):
+                if fwd is None:
+                    entry[5] = min(self.hierarchy._mshr_busy_until)
+                keep(entry)
+        self._ld_wait = waiting
+
+    def _retire(self, di) -> None:
+        # A store leaving the LSQ can unblock a partially overlapping load
+        # or end a forwarding: the loads' dependence decisions are stale.
+        if di.is_store:
+            self._mem_epoch += 1
+        super()._retire(di)
 
     # ------------------------------------------------------- load finalising
     def _finish_loads(self) -> None:

@@ -50,6 +50,8 @@ class MemoryHierarchy:
         self.l1 = Cache(self.params.l1_params)
         self.l2 = Cache(self.params.l2_params)
         self.l3 = Cache(self.params.l3_params)
+        # Completion cycles of the MSHRs in use; entries at or before the
+        # current cycle are free and are purged lazily by ``access``.
         self._mshr_busy_until: list[int] = []
         # Notified with the line address of every L1 line dropped by an
         # explicit flush (clflush-style harness helpers below).  Demand
@@ -70,9 +72,14 @@ class MemoryHierarchy:
         the access stalls (no state is changed) and must be retried.
         """
         if not self.l1.probe(address):
-            self._mshr_busy_until = [t for t in self._mshr_busy_until if t > now]
-            if len(self._mshr_busy_until) >= self.params.mshrs:
-                return AccessResult(0, "STALL", None, stalled=True)
+            busy = self._mshr_busy_until
+            # Expired entries are purged only when the list looks full: the
+            # access stalls iff the MSHRs still busy after ``now`` fill it.
+            if len(busy) >= self.params.mshrs:
+                busy = [t for t in busy if t > now]
+                self._mshr_busy_until = busy
+                if len(busy) >= self.params.mshrs:
+                    return AccessResult(0, "STALL", None, stalled=True)
         latency = self.params.l1_params.latency
         hit, l1_evicted = self.l1.access(address)
         if hit:

@@ -41,6 +41,17 @@ class SimulationError(Exception):
     """Raised when the simulation wedges (deadlock / cycle cap)."""
 
 
+class _SquashAnchor:
+    """Stands in for the retired instruction just older than a squash
+    victim (``_squash_after`` reads only ``seq`` and ``pc``)."""
+
+    __slots__ = ("seq", "pc")
+
+    def __init__(self, seq: int, pc: int):
+        self.seq = seq
+        self.pc = pc
+
+
 class SimResult:
     """Outcome of one simulation run.
 
@@ -162,9 +173,6 @@ class OoOCore:
         self.dispatch_block = -1          # StallCause index or -1, per cycle
         self.last_squash_cycle = -(10 ** 9)
         self.engine.attach(self)
-        # Explicit flushes (attack-harness clflush) must reach the shadow L1
-        # like demand evictions do, or it tracks non-resident lines.
-        self.hierarchy.on_l1_invalidate = self.engine.on_l1_evict
 
         # Lockstep invariant sanitizer (repro.check).  ``None`` when
         # checking is off: every hook site below guards on ``is not None``,
@@ -174,6 +182,33 @@ class OoOCore:
         if self.params.check_level != "off":
             from repro.check.sanitizer import Sanitizer
             self.checker = Sanitizer(self, self.params.check_level)
+        self._link()
+
+    # -------------------------------------------------------------- lifetime
+    def _link(self) -> None:
+        """Point the parts that call back into the core at it.
+
+        The engine and the sanitizer read the core; explicit flushes
+        (attack-harness clflush) must reach the shadow L1 like demand
+        evictions do, or it tracks non-resident lines.
+        """
+        self.engine.core = self
+        self.hierarchy.on_l1_invalidate = self.engine.on_l1_evict
+        if self.checker is not None:
+            self.checker.core = self
+
+    def _unlink(self) -> None:
+        """Drop every back-reference :meth:`_link` made.
+
+        Called when :meth:`run` returns or raises, so nothing the core
+        owns references it afterwards: a finished core is freed by
+        reference counting as soon as its caller drops it, instead of
+        waiting as cyclic garbage for the collector.
+        """
+        self.engine.core = None
+        self.hierarchy.on_l1_invalidate = None
+        if self.checker is not None:
+            self.checker.core = None
 
     # ------------------------------------------------------------- metrics
     def legacy_stats(self) -> dict:
@@ -246,7 +281,19 @@ class OoOCore:
 
     # ------------------------------------------------------------------ run
     def run(self, max_instructions: int = 1_000_000) -> SimResult:
-        """Simulate until HALT retires, the budget is hit, or deadlock."""
+        """Simulate until HALT retires, the budget is hit, or deadlock.
+
+        The core is linked to its engine, hierarchy and sanitizer only
+        while it runs (see :meth:`_unlink`).
+        """
+        self._link()
+        try:
+            return self._simulate(max_instructions)
+        finally:
+            self._unlink()
+
+    def _simulate(self, max_instructions: int) -> SimResult:
+        """The run loop: one :meth:`step` per cycle."""
         budget = max_instructions
         last_progress_cycle = 0
         last_retired = 0
@@ -441,11 +488,18 @@ class OoOCore:
             return
         if forward_store is not None and not forward_store.complete:
             return    # forwarding needed but the store data is not ready yet
+        self._issue_load(load, forward_store)
+
+    def _issue_load(self, load: DynInst,
+                    forward_store: Optional[DynInst]) -> bool:
+        """Issue a load that passed its dependence checks: forward from
+        ``forward_store`` or access the cache.  Returns False when the
+        access stalled on exhausted MSHRs (the load retries next cycle)."""
         if forward_store is not None:
-            self.n_loads_forwarded += 1
             load.forwarded_from = forward_store
             load.fwding_st = forward_store.seq
             if self.engine.skip_cache_for_forwarding(load, forward_store):
+                self.n_loads_forwarded += 1
                 if self.checker is not None:
                     self.checker.on_forward_skip(load, forward_store)
                 load.load_value = self._truncate(forward_store.rs2_value,
@@ -454,13 +508,16 @@ class OoOCore:
                 load.mem_issued = True
                 self._activity += 1
                 self._schedule_load_completion(load, 1)
-                return
-            self.n_loads_forwarded_cache += 1
+                return True
         if self.checker is not None:
             self.checker.on_cache_access(load)
         access = self.hierarchy.access(load.address, self.cycle)
         if access.stalled:
-            return    # MSHRs exhausted; retry next cycle
+            return False
+        if forward_store is not None:
+            # Counted when the load issues, not per stalled attempt.
+            self.n_loads_forwarded += 1
+            self.n_loads_forwarded_cache += 1
         if access.l1_evicted_line is not None:
             self.engine.on_l1_evict(access.l1_evicted_line)
         line = self.hierarchy.l1.line_address(load.address)
@@ -475,6 +532,7 @@ class OoOCore:
         load.mem_issued = True
         self._activity += 1
         self._schedule_load_completion(load, access.latency)
+        return True
 
     def _memory_dependences(self, load: DynInst):
         """Scan older stores in the LSQ.
@@ -545,10 +603,7 @@ class OoOCore:
         if anchor is None:
             # The victim is the oldest in-flight instruction: emulate by
             # squashing younger-than a synthetic anchor.
-            class _Anchor:
-                seq = target_seq
-                pc = victim.pc
-            anchor = _Anchor()
+            anchor = _SquashAnchor(target_seq, victim.pc)
         self._squash_after(anchor)
         self._redirect_fetch(victim.pc)
 

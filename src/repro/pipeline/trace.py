@@ -134,7 +134,12 @@ class PipelineTracer:
 
 def trace_program(program, engine=None, params=None,
                   max_instructions: int = 50_000) -> PipelineTracer:
-    """Convenience: build a core, trace a full run, return the tracer."""
-    tracer = PipelineTracer(OoOCore(program, engine=engine, params=params))
+    """Convenience: build a core, trace a full run, return the tracer.
+
+    The core comes from ``runner.build_core``, so ``params.backend`` picks
+    it; a stepped core keeps its reference phases either way.
+    """
+    from repro.harness.runner import build_core    # harness imports pipeline
+    tracer = PipelineTracer(build_core(program, engine=engine, params=params))
     tracer.run(max_instructions=max_instructions)
     return tracer

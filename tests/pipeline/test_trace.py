@@ -146,3 +146,16 @@ def test_max_entries_bounds_memory():
         # The cap is checked per harvest, so one batch may overshoot it,
         # but it can never grow past cap + one dispatch-width batch.
         assert len(tracer.entries) <= cap + 4
+
+
+def test_trace_program_builds_the_core_for_the_backend():
+    from repro.fastpath.vector_core import VectorCore
+    from repro.pipeline.params import MachineParams
+    reference = trace_program(assemble(SIMPLE),
+                              params=MachineParams(backend="reference"))
+    vector = trace_program(assemble(SIMPLE))
+    assert type(reference.core) is OoOCore
+    assert type(vector.core) is VectorCore
+    assert ([(e.seq, e.fetch, e.issue, e.retire) for e in vector.entries]
+            == [(e.seq, e.fetch, e.issue, e.retire)
+                for e in reference.entries])
